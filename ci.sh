@@ -1,6 +1,7 @@
 #!/bin/sh
 # ci.sh — the repo's check suite: formatting, vet, build (library +
-# every cmd binary), the progressd end-to-end smoke, race tests.
+# every cmd binary), the figure gate, the progressd end-to-end smoke,
+# race tests.
 # Run directly or via `make check`.
 set -eu
 
@@ -30,6 +31,19 @@ bindir=$(mktemp -d)
 trap 'rm -rf "$bindir"' EXIT
 go build -o "$bindir" ./cmd/...
 ls "$bindir"
+
+echo "== figure gate =="
+# The virtual-time figures are deterministic: regenerate them and require
+# every file to match the committed results/ byte for byte. overhead.csv
+# holds wall-clock times and is skipped.
+figdir="$bindir"/figures
+"$bindir"/experiments -quiet -outdir "$figdir" >/dev/null
+for f in results/* "$figdir"/*; do
+	name=$(basename "$f")
+	[ "$name" = overhead.csv ] && continue
+	cmp "results/$name" "$figdir/$name"
+done
+echo "ok"
 
 echo "== progresslint =="
 # The repo's own analyzers (DESIGN.md §7): wall-clock bans in engine

@@ -64,7 +64,7 @@ func main() {
 		case line == `\help`:
 			fmt.Println(`\tables            list tables
 \explain <sql>     show plan and segments
-\analyze <sql>     run and show per-segment estimated vs actual
+\analyze <sql>     same as explain analyze <sql>
 \metrics           engine metrics snapshot (Prometheus text format)
 \cold              empty the buffer pool
 \io <s> <e> <f>    4-arg: I/O interference from s to e (virtual sec), factor f
@@ -121,24 +121,16 @@ anything else      run as SQL with a live progress indicator`)
 				continue
 			}
 			fmt.Print(out)
-		case strings.HasPrefix(line, `\analyze `):
-			res, table, err := db.ExecAnalyze(strings.TrimPrefix(line, `\analyze `))
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			fmt.Print(table)
-			fmt.Printf("(%.1f virtual seconds)\n", res.VirtualSeconds)
-		case strings.HasPrefix(line, `\`):
-			fmt.Println("unknown command; try \\help")
-		case hasKeywordPrefix(line, "explain", "analyze"):
-			res, tree, err := db.ExplainAnalyze(line)
+		case strings.HasPrefix(line, `\analyze `) || hasKeywordPrefix(line, "explain", "analyze"):
+			res, tree, err := db.ExplainAnalyze(strings.TrimPrefix(line, `\analyze `))
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
 			fmt.Print(tree)
 			fmt.Printf("(%.1f virtual seconds)\n", res.VirtualSeconds)
+		case strings.HasPrefix(line, `\`):
+			fmt.Println("unknown command; try \\help")
 		case hasKeywordPrefix(line, "explain"):
 			out, err := db.Explain(stripKeywords(line, "explain"))
 			if err != nil {

@@ -3,13 +3,7 @@ package progressdb
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"strings"
-
-	"progressdb/internal/core"
-	"progressdb/internal/exec"
-	"progressdb/internal/segment"
-	"progressdb/internal/tuple"
 )
 
 // GroupQuery is one member of a concurrently executing query group.
@@ -83,7 +77,7 @@ type groupWorker struct {
 
 // ExecGroup runs several queries concurrently on this engine: a
 // deterministic round-robin scheduler interleaves them tuple-slice by
-// tuple-slice on the shared virtual clock, so they genuinely contend —
+// tuple-slice on one group worker clock, so they genuinely contend —
 // each query's progress indicator observes a slowdown when another query
 // runs, with no synthetic interference needed. This reproduces the
 // paper's Section 6 load-management setting: a pool of running queries,
@@ -103,7 +97,10 @@ func (db *DB) ExecGroup(queries []GroupQuery) ([]*Result, error) {
 	for i, q := range queries {
 		workers[i] = &groupWorker{q: q, token: make(chan struct{}, 1)}
 	}
-	groupStart := db.clock.Now()
+	// One worker clock shared by every member: the token scheduler lets
+	// only one member charge it at a time.
+	clk := db.worker()
+	groupStart := clk.Now()
 	done := make(chan int, len(queries))
 
 	// next passes the token to the next unfinished worker after i;
@@ -135,7 +132,7 @@ func (db *DB) ExecGroup(queries []GroupQuery) ([]*Result, error) {
 	}
 	anyRunnableNow := func() bool {
 		for _, w := range workers {
-			if !w.finished && db.clock.Now() >= groupStart+w.q.StartAt {
+			if !w.finished && clk.Now() >= groupStart+w.q.StartAt {
 				return true
 			}
 		}
@@ -150,14 +147,14 @@ func (db *DB) ExecGroup(queries []GroupQuery) ([]*Result, error) {
 			// Gate on the start time: pass the token along while other
 			// queries run; idle the clock when nothing else can.
 			<-w.token
-			for db.clock.Now() < myStart {
+			for clk.Now() < myStart {
 				if anyRunnableNow() {
 					next(i)
 					<-w.token
 					continue
 				}
-				if at := earliestPendingStart(); at > db.clock.Now() {
-					db.clock.Idle(at - db.clock.Now())
+				if at := earliestPendingStart(); at > clk.Now() {
+					clk.Idle(at - clk.Now())
 				}
 			}
 
@@ -170,7 +167,9 @@ func (db *DB) ExecGroup(queries []GroupQuery) ([]*Result, error) {
 					<-w.token
 				}
 			}
-			w.result, w.err = db.execOne(w.q, yield)
+			// run is the panic boundary, so a failure or crash fails only
+			// this member; the query timeout applies per member.
+			w.result, w.err = db.exec(w.q.Ctx, clk, yield, w.q.SQL, w.q.OnProgress, w.q.KeepRows)
 			w.finished = true
 			next(i)
 		}(i, w)
@@ -180,9 +179,9 @@ func (db *DB) ExecGroup(queries []GroupQuery) ([]*Result, error) {
 	for range workers {
 		<-done
 	}
-	// The group ran on the engine's base clock; publish its end time into
-	// the clock group so later queries start after it.
-	db.clock.Sync()
+	// Publish the group's end time (including any trailing idle) so later
+	// queries start after it.
+	clk.Sync()
 	results := make([]*Result, len(workers))
 	var ge *GroupError
 	for i, w := range workers {
@@ -199,76 +198,4 @@ func (db *DB) ExecGroup(queries []GroupQuery) ([]*Result, error) {
 		return results, ge
 	}
 	return results, nil
-}
-
-// execOne plans and runs one group member with its own indicator. Like
-// db.run it is a panic boundary: a crash (e.g. an injected fault) fails
-// only this member — converted to *exec.InternalError — and the
-// member's temp files are reclaimed, so the rest of the group keeps
-// running. Config.QueryTimeoutSeconds applies per member, layered on
-// the member's own Ctx.
-func (db *DB) execOne(q GroupQuery, yield func()) (res *Result, err error) {
-	var env *exec.Env
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, exec.NewInternalError(r, debug.Stack())
-		}
-		if err != nil && env != nil {
-			env.ReleaseScans()
-			env.ReclaimTemps()
-		}
-	}()
-	p, err := db.plan(q.SQL)
-	if err != nil {
-		return nil, err
-	}
-	d := segment.Decompose(p, db.cfg.WorkMemPages)
-	ind := core.New(db.clock, d, core.Options{
-		UpdatePeriod:    db.cfg.ProgressUpdateSeconds,
-		SpeedWindow:     db.cfg.SpeedWindowSeconds,
-		DecayAlpha:      db.cfg.SpeedDecayAlpha,
-		PerSegmentSpeed: db.cfg.PerSegmentSpeed,
-		Refine:          db.refine,
-	})
-	if q.OnProgress != nil {
-		ind.Subscribe(func(s core.Snapshot) { q.OnProgress(toReport(s)) })
-	}
-	ind.Start()
-	defer ind.Stop()
-
-	res = &Result{}
-	for _, c := range p.Schema().Cols {
-		res.Columns = append(res.Columns, c.Name)
-	}
-	env = &exec.Env{
-		Pool:         db.cat.Pool(),
-		Clock:        db.clock,
-		WorkMemPages: db.cfg.WorkMemPages,
-		Reporter:     ind,
-		Decomp:       d,
-		Met:          db.execMet,
-		Yield:        yield,
-	}
-	ctx, cancel := db.queryCtx(q.Ctx)
-	defer cancel()
-	if ctx != nil && ctx.Done() != nil {
-		env.Ctx = ctx
-	}
-	start := db.clock.Now()
-	var sink func(tuple.Tuple) error
-	if q.KeepRows {
-		sink = func(t tuple.Tuple) error {
-			res.Rows = append(res.Rows, tupleToRow(t))
-			return nil
-		}
-	}
-	if _, err := exec.Run(env, p, sink); err != nil {
-		return nil, err
-	}
-	db.queries.Inc()
-	res.VirtualSeconds = db.clock.Now() - start
-	for _, s := range ind.Snapshots() {
-		res.History = append(res.History, toReport(s))
-	}
-	return res, nil
 }

@@ -210,3 +210,57 @@ func TestExecGroupManyQueries(t *testing.T) {
 		}
 	}
 }
+
+// ExecGroup draws its clock from the clock group: after an earlier query
+// moved the group past the engine's base clock, the group starts at Now
+// and publishes its whole duration.
+func TestGroupClockFollowsEarlierQuery(t *testing.T) {
+	db := groupDB(t)
+	if _, err := db.ExecDiscard("select * from small", nil); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Now()
+	results, err := db.ExecGroup([]GroupQuery{{Name: "a", SQL: "select * from big"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, want := db.Now(), before+results[0].VirtualSeconds; after < want-1e-9 {
+		t.Fatalf("Now after group = %.4f, want >= %.4f (before %.4f + member %.4f)",
+			after, want, before, results[0].VirtualSeconds)
+	}
+}
+
+// A group member carries the same per-segment ledger as the query run
+// alone: contention changes its timing, not the work it does.
+func TestGroupMemberSegmentsMatchSolo(t *testing.T) {
+	mk := func() *DB {
+		db := Open(Config{WorkMemPages: 16, BufferPoolPages: 128})
+		if err := db.LoadPaperWorkload(0.01, false); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	q1, _ := PaperQuery(1)
+	q2, _ := PaperQuery(2)
+	members, err := mk().ExecGroup([]GroupQuery{{Name: "q1", SQL: q1}, {Name: "q2", SQL: q2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := mk()
+	for i, sql := range []string{q1, q2} {
+		alone, err := solo.ExecDiscard(sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := members[i].Segments, alone.Segments
+		if len(got) == 0 || len(got) != len(want) {
+			t.Fatalf("q%d: member has %d segments, alone %d", i+1, len(got), len(want))
+		}
+		for j := range got {
+			if got[j].ActualCostU != want[j].ActualCostU {
+				t.Fatalf("q%d segment %d: member ActualCostU %v, alone %v",
+					i+1, j, got[j].ActualCostU, want[j].ActualCostU)
+			}
+		}
+	}
+}

@@ -39,7 +39,6 @@ var enginePackages = []string{
 	"progressdb/internal/segment",
 	"progressdb/internal/core",
 	"progressdb/internal/optimizer",
-	"progressdb/internal/txn",
 	"progressdb/internal/btree",
 	// The fleet coordinator charges retry backoff to shard vclocks so
 	// failover replays deterministically under seeded fault schedules; a

@@ -346,47 +346,27 @@ func (r Runner) OverheadProbe(q int) (func(withIndicator bool) error, error) {
 }
 
 // Overhead measures the real (wall-clock) cost of the progress indicator
-// by running query q with and without the reporter, returning the
-// fractional overhead ((with-without)/without). The paper reports <1%;
-// exact numbers vary by machine, the bench target reports both times.
+// by timing iters OverheadProbe calls of query q with and without the
+// indicator, returning the summed seconds of each; the overhead is
+// (with-without)/without. The paper reports <1%; exact numbers vary by
+// machine, the bench target reports both times.
 func (r Runner) Overhead(q int, iters int) (withSec, withoutSec float64, err error) {
-	r = r.withDefaults()
-	eng, err := r.newEngine(q == 3)
+	probe, err := r.OverheadProbe(q)
 	if err != nil {
 		return 0, 0, err
 	}
-	sql, _ := workload.QuerySQL(q)
-	stmt, _ := sqlparser.Parse(sql)
-	p, err := optimizer.Plan(eng.cat, stmt, optimizer.Options{WorkMemPages: r.WorkMemPages})
-	if err != nil {
-		return 0, 0, err
-	}
-	d := segment.Decompose(p, r.WorkMemPages)
-	run := func(withInd bool) (float64, error) {
-		var rep segment.WorkReporter
-		if withInd {
-			ind := core.New(eng.clock, d, core.Options{UpdatePeriod: r.UpdatePeriod})
-			ind.Start()
-			defer ind.Stop()
-			rep = ind
-		}
-		env := &exec.Env{
-			Pool: eng.cat.Pool(), Clock: eng.clock,
-			WorkMemPages: r.WorkMemPages, Reporter: rep, Decomp: d,
-		}
+	timed := func(withIndicator bool) (float64, error) {
 		t0 := time.Now()
-		if _, err := exec.Run(env, p, nil); err != nil {
-			return 0, err
-		}
-		return time.Since(t0).Seconds(), nil
+		err := probe(withIndicator)
+		return time.Since(t0).Seconds(), err
 	}
 	for i := 0; i < iters; i++ {
-		w, err := run(true)
+		w, err := timed(true)
 		if err != nil {
 			return 0, 0, err
 		}
 		withSec += w
-		wo, err := run(false)
+		wo, err := timed(false)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -714,12 +714,13 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		if ping {
 			// SSE comment line: ignored by event parsers, but keeps the
 			// connection warm through proxies while a slow (or paced)
-			// query is between refreshes.
+			// query is between refreshes. Counted before the write, so
+			// a client that has read a ping also sees it counted.
+			s.met.pings.Inc()
 			if _, err := fmt.Fprint(w, ": ping\n\n"); err != nil {
 				return
 			}
 			fl.Flush()
-			s.met.pings.Inc()
 			continue
 		}
 		for _, ev := range evs {

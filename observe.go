@@ -106,25 +106,31 @@ type runOut struct {
 	coll *exec.Collector
 }
 
-// run executes an already-planned query with full observability wiring:
-// the indicator gets the refinement instruments and event sink, the
-// executor gets engine metrics and (optionally) a per-operator collector,
-// and the trace is assembled afterwards. ctx cancels execution at the
-// executor's safe points.
+// worker draws a query's worker clock from the engine's clock group —
+// the only way query work gets a clock. Charges advance it
+// independently of concurrent queries, and it max-merges into the group
+// at segment boundaries, report snapshots, and query end. The base
+// clock is published first so the worker starts no earlier than any
+// completed setup work.
+func (db *DB) worker() *vclock.Clock {
+	db.clock.Sync()
+	return db.group.Worker()
+}
+
+// run executes an already-planned query on the worker clock clk with
+// full observability wiring: the indicator gets the refinement
+// instruments and event sink, the executor gets engine metrics and
+// (optionally) a per-operator collector, and the trace is assembled
+// afterwards. ctx cancels execution at the executor's safe points;
+// yield, when non-nil, is the executor's per-tuple scheduling hook
+// (ExecGroup's time slices).
 //
 // run is also the engine's panic boundary and cleanup backstop: a panic
 // anywhere in decomposition or execution (including injected faults) is
 // converted into a typed *exec.InternalError that fails only this
 // query, and on any failure the query's tracked temp files are
 // reclaimed so the engine stays leak-free and reusable.
-func (db *DB) run(ctx context.Context, p plan.Node, name string, onProgress func(Report), keepRows, collect bool) (out *runOut, err error) {
-	// Each query executes on its own worker clock drawn from the engine's
-	// clock group: charges advance it independently of concurrent
-	// queries, and it max-merges into the group at segment boundaries,
-	// report snapshots, and query end. Publish the base clock first so
-	// the worker starts no earlier than any completed setup work.
-	db.clock.Sync()
-	clk := db.group.Worker()
+func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.Node, name string, onProgress func(Report), keepRows, collect bool) (out *runOut, err error) {
 	var env *exec.Env
 	defer func() {
 		if r := recover(); r != nil {
@@ -167,6 +173,7 @@ func (db *DB) run(ctx context.Context, p plan.Node, name string, onProgress func
 		Decomp:       d,
 		Met:          db.execMet,
 		Collect:      coll,
+		Yield:        yield,
 	}
 	if ctx != nil && ctx.Done() != nil {
 		env.Ctx = ctx
@@ -285,7 +292,7 @@ func (db *DB) ExplainAnalyze(sql string) (*Result, string, error) {
 	}
 	ctx, cancel := db.queryCtx(context.Background())
 	defer cancel()
-	out, err := db.run(ctx, p, st.Select.String(), nil, true, true)
+	out, err := db.run(ctx, db.worker(), nil, p, st.Select.String(), nil, true, true)
 	if err != nil {
 		return nil, "", err
 	}

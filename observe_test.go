@@ -215,9 +215,9 @@ func TestTraceAndEventLog(t *testing.T) {
 
 func TestExplainStatementDispatch(t *testing.T) {
 	db := loadObsWorkload(t, Config{WorkMemPages: 16})
-	// ExecAnalyze still works without the metrics registry (nil-safe
-	// instruments all the way down).
-	_, table, err := db.ExecAnalyze(twoJoinSQL)
+	// ExplainAnalyze of a bare SELECT still works without the metrics
+	// registry (nil-safe instruments all the way down).
+	_, table, err := db.ExplainAnalyze(twoJoinSQL)
 	if err != nil {
 		t.Fatal(err)
 	}

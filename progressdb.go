@@ -121,13 +121,13 @@ type Config struct {
 // query runs on its own worker clock and the storage layers are latched.
 // Setup and maintenance — CreateTable, Insert, Analyze, CreateIndex,
 // DropTable, LoadPaperWorkload*, SetInterference, SetFaultSpec,
-// ColdRestart, ExecGroup, and the txn API — are single-threaded and must
-// not overlap each other or running queries, matching the paper's
-// load-then-query methodology.
+// ColdRestart, and ExecGroup — are single-threaded and must not overlap
+// each other or running queries, matching the paper's load-then-query
+// methodology.
 type DB struct {
 	cfg   Config
 	group *vclock.Group
-	clock *vclock.Clock // base worker clock: DDL, loads, single-threaded paths
+	clock *vclock.Clock // base clock: DDL, loads, ColdRestart, interference setup
 	cat   *catalog.Catalog
 	inj   *faultinject.Injector
 
@@ -386,8 +386,9 @@ func (db *DB) EstimateCostU(sql string) (float64, error) {
 // this so backoff time exists on the clock and fault schedules replay
 // identically across runs.
 func (db *DB) Idle(d float64) {
-	db.clock.Idle(d)
-	db.clock.Sync()
+	clk := db.worker()
+	clk.Idle(d)
+	clk.Sync()
 }
 
 // Explain compiles sql and returns the physical plan and its segment
@@ -501,7 +502,7 @@ type Result struct {
 	Segments []SegmentStats
 	// Trace is the per-query span tree (query → segment → operator),
 	// filled when Config.Trace is set, Config.TraceSink is non-nil, or
-	// the query ran under ExecAnalyze / ExplainAnalyze; nil otherwise.
+	// the query ran under ExplainAnalyze; nil otherwise.
 	Trace *obs.Trace
 }
 
@@ -511,7 +512,7 @@ func (r *Result) RowCount() int { return len(r.Rows) }
 // Exec runs a query, invoking onProgress (if non-nil) at every indicator
 // refresh, and returns the full result.
 func (db *DB) Exec(sql string, onProgress func(Report)) (*Result, error) {
-	return db.exec(context.Background(), sql, onProgress, true)
+	return db.exec(context.Background(), db.worker(), nil, sql, onProgress, true)
 }
 
 // ExecContext is Exec with cancellation: when ctx is canceled the
@@ -521,53 +522,35 @@ func (db *DB) Exec(sql string, onProgress func(Report)) (*Result, error) {
 // errors.Is(err, context.Canceled) (or DeadlineExceeded). The engine
 // remains usable for subsequent queries.
 func (db *DB) ExecContext(ctx context.Context, sql string, onProgress func(Report)) (*Result, error) {
-	return db.exec(ctx, sql, onProgress, true)
+	return db.exec(ctx, db.worker(), nil, sql, onProgress, true)
 }
 
 // ExecDiscard runs a query without materializing result rows (useful for
 // large results and benchmarks); Result.Rows is nil but RowsDiscarded is
 // reported via VirtualSeconds/History as usual.
 func (db *DB) ExecDiscard(sql string, onProgress func(Report)) (*Result, error) {
-	return db.exec(context.Background(), sql, onProgress, false)
+	return db.exec(context.Background(), db.worker(), nil, sql, onProgress, false)
 }
 
 // ExecDiscardContext is ExecDiscard with cancellation (see ExecContext).
 func (db *DB) ExecDiscardContext(ctx context.Context, sql string, onProgress func(Report)) (*Result, error) {
-	return db.exec(ctx, sql, onProgress, false)
+	return db.exec(ctx, db.worker(), nil, sql, onProgress, false)
 }
 
-func (db *DB) exec(ctx context.Context, sql string, onProgress func(Report), keepRows bool) (*Result, error) {
+// exec plans sql and runs it on the worker clock clk (see run for
+// yield). Config.QueryTimeoutSeconds is layered on ctx.
+func (db *DB) exec(ctx context.Context, clk *vclock.Clock, yield func(), sql string, onProgress func(Report), keepRows bool) (*Result, error) {
 	p, err := db.plan(sql)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := db.queryCtx(ctx)
 	defer cancel()
-	out, err := db.run(ctx, p, sql, onProgress, keepRows, db.traceEnabled())
+	out, err := db.run(ctx, clk, yield, p, sql, onProgress, keepRows, db.traceEnabled())
 	if err != nil {
 		return nil, err
 	}
 	return out.res, nil
-}
-
-// ExecAnalyze runs a query and returns, alongside the result, an
-// EXPLAIN ANALYZE-style per-segment table comparing the optimizer's
-// initial estimates with what actually happened and where the (virtual)
-// time went — the paper's Section 6 "performance tuning" use of the
-// progress indicator's history. For the per-operator annotated plan
-// tree, use ExplainAnalyze.
-func (db *DB) ExecAnalyze(sql string) (*Result, string, error) {
-	p, err := db.plan(sql)
-	if err != nil {
-		return nil, "", err
-	}
-	ctx, cancel := db.queryCtx(context.Background())
-	defer cancel()
-	out, err := db.run(ctx, p, sql, nil, false, true)
-	if err != nil {
-		return nil, "", err
-	}
-	return out.res, core.FormatSegmentReports(out.ind.SegmentReports()), nil
 }
 
 // FormatReport renders a report as the paper's Figure 2 progress box.

@@ -263,23 +263,53 @@ func TestFacadeSubqueries(t *testing.T) {
 	}
 }
 
+// The facade's execute-and-analyze path: ExplainAnalyze runs the query
+// and its text ends with the per-segment estimated-vs-actual table.
 func TestFacadeExecAnalyze(t *testing.T) {
 	db := Open(Config{WorkMemPages: 16})
 	if err := db.LoadPaperWorkload(0.002, false); err != nil {
 		t.Fatal(err)
 	}
 	sql, _ := PaperQuery(2)
-	res, table, err := db.ExecAnalyze(sql)
+	res, table, err := db.ExplainAnalyze(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.VirtualSeconds <= 0 {
 		t.Fatal("no time elapsed")
 	}
-	if !strings.Contains(table, "est U") || strings.Count(table, "\n") < 3 {
-		t.Fatalf("analyze table:\n%s", table)
+	// The segment table (header plus one row per segment) follows the
+	// annotated plan tree; Q2 decomposes into at least two segments.
+	i := strings.LastIndex(table, "\nseg ")
+	if i < 0 {
+		t.Fatalf("analyze text has no segment table:\n%s", table)
 	}
-	if _, _, err := db.ExecAnalyze("not sql"); err == nil {
+	seg := table[i+1:]
+	if !strings.Contains(seg, "est U") || strings.Count(seg, "\n") < 3 {
+		t.Fatalf("analyze table:\n%s", seg)
+	}
+	if len(res.Segments) < 2 {
+		t.Fatalf("Result.Segments = %d, want >= 2", len(res.Segments))
+	}
+	if _, _, err := db.ExplainAnalyze("not sql"); err == nil {
 		t.Fatal("bad sql must fail")
+	}
+}
+
+// Idle waits on the clock group: after a query has moved the group past
+// the engine's base clock, Idle(d) still advances Now by exactly d.
+func TestFacadeIdleAdvancesNow(t *testing.T) {
+	db := Open(Config{WorkMemPages: 16})
+	if err := db.LoadPaperWorkload(0.002, false); err != nil {
+		t.Fatal(err)
+	}
+	sql, _ := PaperQuery(1)
+	if _, err := db.ExecDiscard(sql, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Now()
+	db.Idle(0.05)
+	if got := db.Now() - before; math.Abs(got-0.05) > 1e-9 {
+		t.Fatalf("Idle(0.05) advanced Now by %.6f, want 0.05", got)
 	}
 }
